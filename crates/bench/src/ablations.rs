@@ -122,7 +122,7 @@ fn integrator(h: &mut Harness) {
         h.bench(SUITE, &format!("integrator/{label}"), move || {
             let mut opts = TransientOptions::new(2e-9, 1e-12);
             opts.integrator = integrator;
-            black_box(transient(&ExecCtx::strict(), &circuit, &opts).expect("simulates"))
+            black_box(transient(&ExecCtx::serial(), &circuit, &opts).expect("simulates"))
         });
     }
 }
@@ -141,34 +141,11 @@ fn scf_mixing(h: &mut Harness) {
         h.bench(SUITE, &format!("scf_mixing/{mixing}"), move || {
             black_box(
                 solver
-                    .solve(&ExecCtx::strict(), 0.2, 0.2)
+                    .solve(&ExecCtx::serial(), 0.2, 0.2)
                     .expect("converges"),
             )
         });
     }
-}
-
-/// Recovery-ladder overhead: the escalation ladder wraps every SCF solve,
-/// so its fault-free cost on a nominal bias point must stay negligible
-/// (one extra report allocation; the nominal rung is the plain solve).
-fn scf_recovery(h: &mut Harness) {
-    let mut cfg = DeviceConfig::test_small(9).expect("valid");
-    cfg.channel_cells = 8;
-    let solver = ScfSolver::new(&cfg, ScfOptions::fast());
-    h.bench(SUITE, "scf_recovery/direct", || {
-        black_box(
-            solver
-                .solve(&ExecCtx::strict(), black_box(0.2), black_box(0.2))
-                .expect("converges"),
-        )
-    });
-    h.bench(SUITE, "scf_recovery/ladder", || {
-        black_box(
-            solver
-                .solve(&ExecCtx::serial(), black_box(0.2), black_box(0.2))
-                .expect("converges"),
-        )
-    });
 }
 
 /// Thread-pool scaling ablation: the same 21 x 21 bias-grid table build,
@@ -187,7 +164,7 @@ fn par_scaling(h: &mut Harness) {
         points: 21,
     };
     for (label, threads) in [("serial", 1usize), ("threads4", 4)] {
-        let ctx = ExecCtx::new(ThreadPool::new(threads), Default::default());
+        let ctx = ExecCtx::new(ThreadPool::new(threads));
         h.bench(SUITE, &format!("par_scaling/from_model/{label}"), || {
             black_box(
                 DeviceTable::from_model(&ctx, &model, Polarity::NType, grid, 4).expect("table"),
@@ -213,7 +190,7 @@ fn device_table(h: &mut Harness) {
         vds: (0.05, 0.35),
         points: 3,
     };
-    let ctx = ExecCtx::new(ThreadPool::new(4), Default::default());
+    let ctx = ExecCtx::new(ThreadPool::new(4));
     for (label, opts) in [
         ("legacy", NegfTableOptions::legacy()),
         ("accelerated", NegfTableOptions::accelerated()),
@@ -282,7 +259,7 @@ fn table_cache(h: &mut Harness) {
         vds: (0.05, 0.35),
         points: 3,
     };
-    let ctx = ExecCtx::new(ThreadPool::new(4), Default::default());
+    let ctx = ExecCtx::new(ThreadPool::new(4));
     let opts = NegfTableOptions::accelerated();
     // The full request key is recomputed per iteration: the warm number
     // is the end-to-end cost of a cache hit, not just the map probe.
@@ -455,7 +432,7 @@ fn sparse_mna(h: &mut Harness) {
                 opts.newton.solver = solver;
                 opts.skip_dc = true;
                 opts.initial_voltages = vec![(kick, vdd)];
-                black_box(transient(&ExecCtx::strict(), &circuit, &opts).expect("simulates"))
+                black_box(transient(&ExecCtx::serial(), &circuit, &opts).expect("simulates"))
             },
         );
     }
@@ -549,7 +526,6 @@ pub fn register(h: &mut Harness) {
     table_vs_model(h);
     integrator(h);
     scf_mixing(h);
-    scf_recovery(h);
     par_scaling(h);
     device_table(h);
     mode_space(h);

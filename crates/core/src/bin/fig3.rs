@@ -3,15 +3,17 @@
 //! operating points A (min EDP at a frequency floor), B (min EDP at
 //! frequency + SNM floors), and C (equal EDP/SNM at higher V_T).
 
+use gnr_num::par::ExecCtx;
+use gnrfet_explore::contours::design_space_map;
 use gnrfet_explore::report;
-use gnrfet_explore::service::JobRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut service = report::standard_service("fig3 — (V_DD, V_T) design-space contours");
+    gnr_num::telemetry::arm_from_env();
+    let ctx = ExecCtx::from_env();
+    let mut lib = report::standard_library("fig3 — (V_DD, V_T) design-space contours");
     let vdd_axis: Vec<f64> = (0..10).map(|i| 0.15 + i as f64 * 0.06).collect();
     let vt_axis: Vec<f64> = (0..9).map(|i| 0.02 + i as f64 * 0.035).collect();
-    let response = service.submit(JobRequest::edp_contour(vdd_axis, vt_axis, 15))?;
-    let map = response.contour().expect("contour jobs return a map");
+    let map = design_space_map(&ctx, &mut lib, &vdd_axis, &vt_axis, 15)?;
     println!(
         "raw-table V_T = {:.3} V; {} feasible design points\n",
         map.vt_raw,
@@ -73,6 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         println!("point A: 3 GHz not reachable on this grid");
     }
-    report::cache_summary(&response.telemetry);
+    report::cache_summary(&ctx);
     Ok(())
 }

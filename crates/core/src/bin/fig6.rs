@@ -3,18 +3,21 @@
 //! with per-inverter width (N = 9/12/15) and charge (−q/0/+q) variations
 //! drawn from a discretized normal distribution.
 //!
-//! Runs as a streaming [`JobRequest::McSweep`] through the
-//! characterization service: chunks print as they land, an interrupted
-//! run checkpoints, and re-running resumes by seed range. Device tables
-//! come from the shared on-disk content-addressed cache, so repeated
-//! invocations skip straight to the sampling.
+//! Sample chunks print as they land, an interrupted run checkpoints, and
+//! re-running resumes by seed range. Device tables come from the shared
+//! on-disk content-addressed cache, so repeated invocations skip straight
+//! to the sampling.
 
-use gnrfet_explore::monte_carlo::MonteCarloResult;
+use gnr_num::par::ExecCtx;
+use gnrfet_explore::monte_carlo::{
+    characterize_stage_universe, monte_carlo_from_universe_resumable, MonteCarloResult,
+};
 use gnrfet_explore::report;
-use gnrfet_explore::service::JobRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut service = report::standard_service("fig6 — Monte Carlo ring-oscillator study");
+    gnr_num::telemetry::arm_from_env();
+    let ctx = ExecCtx::from_env();
+    let mut lib = report::standard_library("fig6 — Monte Carlo ring-oscillator study");
     let vdd = 0.4;
     let samples = match std::env::var("GNRLAB_MC_SAMPLES") {
         Ok(s) => s.parse().unwrap_or(10_000),
@@ -22,18 +25,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("characterizing the 81-configuration stage universe...");
     std::fs::create_dir_all(report::CACHE_DIR)?;
-    let request = JobRequest::mc_sweep(vdd, 15, samples, 0x5eed)
-        .with_checkpoint(format!("{}/fig6-mc.json", report::CACHE_DIR));
+    let checkpoint = std::path::PathBuf::from(format!("{}/fig6-mc.json", report::CACHE_DIR));
+    let universe = characterize_stage_universe(&ctx, &mut lib, vdd, 15)?;
     let mut delivered = 0usize;
-    let response = service.submit_streaming(request, &mut |chunk| {
-        delivered += chunk.totals.len();
-        if chunk.restored {
-            println!("  resumed {delivered} checkpointed samples (seed range restored)");
-        } else if delivered % 2048 < chunk.totals.len() || delivered == samples {
-            println!("  {delivered}/{samples} samples");
-        }
-    })?;
-    let outcome = response.mc().expect("sweep jobs return a sweep payload");
+    let outcome = monte_carlo_from_universe_resumable(
+        &ctx,
+        &universe,
+        samples,
+        0x5eed,
+        Some(&checkpoint),
+        Some(&mut |chunk| {
+            delivered += chunk.totals.len();
+            if chunk.restored {
+                println!("  resumed {delivered} checkpointed samples (seed range restored)");
+            } else if delivered % 2048 < chunk.totals.len() || delivered == samples {
+                println!("  {delivered}/{samples} samples");
+            }
+        }),
+    )?;
     if let Some(stop) = &outcome.interrupted {
         println!(
             "interrupted ({stop}) after {}/{} samples — rerun to resume",
@@ -86,6 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", MonteCarloResult::histogram(&dyn_uw, 18)?.ascii(46));
     println!("static power histogram (uW):");
     println!("{}", MonteCarloResult::histogram(&stat_uw, 18)?.ascii(46));
-    report::cache_summary(&response.telemetry);
+    report::cache_summary(&ctx);
     Ok(())
 }

@@ -2,22 +2,23 @@
 //! ring oscillator for GNRFETs at operating points A/B/C versus scaled
 //! CMOS at the 22/32/45 nm nodes and V_DD ∈ {0.8, 0.6, 0.4} V.
 //!
-//! The design-space map runs as a [`JobRequest::EdpContour`] through the
-//! characterization service; the CMOS rows share the service's
-//! content-addressed table store, so each node/supply model card is
-//! sampled once per run (and once ever, with the disk cache warm).
+//! The CMOS rows share the design-space map's content-addressed table
+//! store, so each node/supply model card is sampled once per run (and
+//! once ever, with the disk cache warm).
 
+use gnr_num::par::ExecCtx;
 use gnrfet_explore::comparison::comparison_table;
+use gnrfet_explore::contours::design_space_map;
 use gnrfet_explore::report;
-use gnrfet_explore::service::JobRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut service = report::standard_service("table1 — GNRFET vs scaled CMOS");
+    gnr_num::telemetry::arm_from_env();
+    let ctx = ExecCtx::from_env();
+    let mut lib = report::standard_library("table1 — GNRFET vs scaled CMOS");
     // Locate A/B/C on a modest design-space grid first.
     let vdd_axis: Vec<f64> = (0..8).map(|i| 0.18 + i as f64 * 0.07).collect();
     let vt_axis: Vec<f64> = (0..7).map(|i| 0.02 + i as f64 * 0.04).collect();
-    let response = service.submit(JobRequest::edp_contour(vdd_axis, vt_axis, 15))?;
-    let map = response.contour().expect("contour jobs return a map");
+    let map = design_space_map(&ctx, &mut lib, &vdd_axis, &vt_axis, 15)?;
     let f_max = map.feasible().map(|p| p.frequency_hz).fold(0.0, f64::max);
     let f_target = (3e9f64).max(0.55 * f_max);
     let best_snm = map.feasible().map(|p| p.snm_v).fold(0.0, f64::max);
@@ -32,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (format!("GNRFET B (VDD={:.2},VT={:.2})", b.vdd, b.vt), b),
         (format!("GNRFET C (VDD={:.2},VT={:.2})", c.vdd, c.vt), c),
     ];
-    let ctx = service.ctx().clone();
-    let table = comparison_table(&ctx, service.library(), &points, 15)?;
+    let table = comparison_table(&ctx, &mut lib, &points, 15)?;
     println!("\n{table}");
     println!("paper Table 1: GNRFET A/B/C at 3.3/3.4/2.5 GHz, EDP 22.7/27.6/36.8 fJ-ps,");
     println!("SNM 0.09/0.14/0.15 V; CMOS EDP 1129-6012 fJ-ps; advantage 40-168x.");

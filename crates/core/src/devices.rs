@@ -170,7 +170,7 @@ impl DeviceLibrary {
     }
 
     /// The content-addressed store backing this library (clone the `Arc`
-    /// to share tables with another library or service handle).
+    /// to share tables with another library).
     pub fn store(&self) -> &Arc<TableStore> {
         &self.store
     }

@@ -56,14 +56,7 @@ pub mod error;
 pub mod latch;
 pub mod monte_carlo;
 pub mod report;
-pub mod service;
 pub mod variability;
 
 pub use devices::{DeviceLibrary, Fidelity};
 pub use error::ExploreError;
-pub use service::{CharacterizationService, JobOutput, JobRequest, JobResponse};
-
-// The full options surface a service request maps onto, re-exported so a
-// consumer can build jobs and solver options from one import path.
-pub use gnr_device::{NegfTableOptions, ScfOptions, TableKey, TableStore};
-pub use gnr_spice::{DcOptions, TransientOptions};

@@ -29,11 +29,11 @@ use std::sync::Arc;
 /// records a checkpoint may hold — are identical at any `GNR_THREADS`.
 pub const MC_CHECKPOINT_CHUNK: usize = 256;
 
-/// Universe cells per checkpointable characterization chunk.
-const CHARACTERIZE_CHECKPOINT_CHUNK: usize = 27;
+/// Universe cells per characterization chunk: three chunks of 27 cells,
+/// each fanned across the pool in turn.
+const CHARACTERIZE_CHUNK: usize = 27;
 
 const MC_CHECKPOINT_KIND: &str = "monte-carlo";
-const CHARACTERIZE_CHECKPOINT_KIND: &str = "characterize";
 
 /// Discrete ±1σ device-parameter distribution of the paper.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -193,47 +193,6 @@ pub fn characterize_stage_universe(
     vdd: f64,
     stages: usize,
 ) -> Result<StageUniverse, ExploreError> {
-    characterize_universe_engine(ctx, lib, vdd, stages, None, false)
-}
-
-/// [`characterize_stage_universe`] under the context's execution budget,
-/// with crash-consistent checkpoint/resume.
-///
-/// When `checkpoint_path` is set, the completed-cell prefix is persisted
-/// (write-temp-then-rename) after every chunk of
-/// [`CHARACTERIZE_CHECKPOINT_CHUNK`] cells, keyed on fidelity, `vdd`, and
-/// `stages`; a later call with the same arguments resumes from the prefix
-/// and produces a bit-identical universe. A stale or corrupt file is
-/// discarded (and deleted) for a clean from-scratch restart. The
-/// checkpoint is removed on completion. Restored dead cells are not
-/// re-recorded in `ctx.faults()` — their fault events belong to the run
-/// that computed them.
-///
-/// # Errors
-///
-/// As [`characterize_stage_universe`], plus
-/// [`NumError::BudgetExhausted`] / `Cancelled` (via [`ExploreError::Num`])
-/// when the context's budget trips between chunks — the checkpoint then
-/// holds every completed cell — and configuration errors for unwritable
-/// checkpoint paths.
-pub fn characterize_stage_universe_resumable(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    vdd: f64,
-    stages: usize,
-    checkpoint_path: Option<&Path>,
-) -> Result<StageUniverse, ExploreError> {
-    characterize_universe_engine(ctx, lib, vdd, stages, checkpoint_path, true)
-}
-
-fn characterize_universe_engine(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    vdd: f64,
-    stages: usize,
-    checkpoint_path: Option<&Path>,
-    enforce_budget: bool,
-) -> Result<StageUniverse, ExploreError> {
     let _stage_timer = ctx.time_scope("mc.characterize.time");
     let shift = lib.min_leakage_shift(vdd)?;
     let nominal_freq_guess = {
@@ -273,45 +232,14 @@ fn characterize_universe_engine(
         );
     }
     // Pre-draw the injector probes in cell order so the per-site RNG stream
-    // advances exactly as in a serial run, whatever the pool size (and
-    // whether or not a checkpoint skips the leading cells).
+    // advances exactly as in a serial run, whatever the pool size.
     let injected: Vec<bool> = (0..81)
         .map(|_| gnr_num::fault::should_fail("characterize"))
         .collect();
-    let key = {
-        let mut h = KeyHasher::new();
-        h.write_str(CHARACTERIZE_CHECKPOINT_KIND);
-        h.write_str(&format!("{:?}", lib.fidelity()));
-        h.write_f64(vdd);
-        h.write_u64(stages as u64);
-        h.finish()
-    };
     let mut figures: Vec<InverterFigures> = Vec::with_capacity(81);
-    if let Some(path) = checkpoint_path {
-        if let LoadOutcome::Resume(cp) =
-            checkpoint::load(path, CHARACTERIZE_CHECKPOINT_KIND, key, 0, 81)
-        {
-            if cp.records.iter().all(|r| r.len() == 5) {
-                figures.extend(cp.records.iter().map(|r| InverterFigures {
-                    delay_s: r[0],
-                    static_w: r[1],
-                    dynamic_w: r[2],
-                    energy_j: r[3],
-                    snm_v: r[4],
-                }));
-            }
-        }
-    }
-    let mut interrupted: Option<NumError> = None;
     while figures.len() < 81 {
-        if enforce_budget {
-            if let Err(e) = ctx.check_budget("characterize.chunk") {
-                interrupted = Some(e);
-                break;
-            }
-        }
         let lo = figures.len();
-        let hi = (lo + CHARACTERIZE_CHECKPOINT_CHUNK).min(81);
+        let hi = (lo + CHARACTERIZE_CHUNK).min(81);
         let cells: Vec<Result<InverterFigures, String>> = ctx.par_map_indexed(hi - lo, |i| {
             let cell = lo + i;
             if injected[cell] {
@@ -336,27 +264,6 @@ fn characterize_universe_engine(
                 }
             }
         }
-        if let Some(path) = checkpoint_path {
-            let cp = Checkpoint {
-                kind: CHARACTERIZE_CHECKPOINT_KIND.to_string(),
-                key,
-                seed: 0,
-                total: 81,
-                records: figures
-                    .iter()
-                    .map(|f| vec![f.delay_s, f.static_w, f.dynamic_w, f.energy_j, f.snm_v])
-                    .collect(),
-            };
-            checkpoint::save(path, &cp)
-                .map_err(|e| ExploreError::config(format!("checkpoint write failed: {e}")))?;
-        }
-    }
-    if let Some(e) = interrupted {
-        return Err(e.into());
-    }
-    if let Some(path) = checkpoint_path {
-        // Completed: the checkpoint has served its purpose.
-        let _ = std::fs::remove_file(path);
     }
     Ok(StageUniverse { figures, stages })
 }
@@ -408,7 +315,7 @@ pub fn monte_carlo_from_universe(
     samples: usize,
     seed: u64,
 ) -> MonteCarloResult {
-    let (totals, _) = mc_totals_engine(ctx, universe, samples, seed, None, false)
+    let (totals, _) = mc_totals_engine(ctx, universe, samples, seed, None, false, None)
         .expect("checkpoint-free unbudgeted engine cannot fail");
     result_from_totals(ctx, universe, &totals)
 }
@@ -436,8 +343,22 @@ impl McRunOutcome {
     }
 }
 
+/// One streamed chunk of a Monte Carlo run: the per-sample
+/// `(period, energy, leakage)` totals for samples
+/// `start .. start + totals.len()`, emitted as soon as the chunk lands.
+#[derive(Clone, Debug, PartialEq)]
+pub struct McChunk {
+    /// Index of the first sample in this chunk.
+    pub start: usize,
+    /// Per-sample `(period \[s\], energy \[J\], leakage \[W\])` totals.
+    pub totals: Vec<(f64, f64, f64)>,
+    /// `true` when the chunk was restored from a checkpoint (resumed seed
+    /// range) instead of being computed by this run.
+    pub restored: bool,
+}
+
 /// [`monte_carlo_from_universe`] under the context's execution budget, with
-/// crash-consistent checkpoint/resume.
+/// crash-consistent checkpoint/resume and optional incremental delivery.
 ///
 /// The sample loop runs in chunks of [`MC_CHECKPOINT_CHUNK`]; the budget
 /// and cancel token (see [`ExecCtx::check_budget`]) are probed at every
@@ -453,6 +374,16 @@ impl McRunOutcome {
 /// Stall fault events for restored samples are re-recorded during the
 /// final merge, in sample order.
 ///
+/// When `sink` is set it receives every completed chunk (last one possibly
+/// short) as soon as it lands, in sample order. On a resumed run the
+/// restored prefix arrives first as a single chunk with
+/// [`McChunk::restored`] set, so a consumer sees the full contiguous
+/// sample range exactly once. Chunk contents are bit-identical for any
+/// `GNR_THREADS` (the chunk boundaries are fixed and the merge is
+/// ordered). A sink may cancel the run through the context's
+/// [`CancelToken`](gnr_num::budget::CancelToken); the stop lands at the
+/// next chunk boundary.
+///
 /// # Errors
 ///
 /// Returns a configuration error when the checkpoint path is unwritable.
@@ -464,62 +395,10 @@ pub fn monte_carlo_from_universe_resumable(
     samples: usize,
     seed: u64,
     checkpoint_path: Option<&Path>,
+    sink: Option<&mut dyn FnMut(&McChunk)>,
 ) -> Result<McRunOutcome, ExploreError> {
     let (totals, interrupted) =
-        mc_totals_engine(ctx, universe, samples, seed, checkpoint_path, true)?;
-    let completed = totals.len();
-    let result = result_from_totals(ctx, universe, &totals);
-    Ok(McRunOutcome {
-        result,
-        completed_samples: completed,
-        requested_samples: samples,
-        interrupted,
-    })
-}
-
-/// One streamed chunk of a Monte Carlo run: the per-sample
-/// `(period, energy, leakage)` totals for samples
-/// `start .. start + totals.len()`, emitted as soon as the chunk lands.
-#[derive(Clone, Debug, PartialEq)]
-pub struct McChunk {
-    /// Index of the first sample in this chunk.
-    pub start: usize,
-    /// Per-sample `(period \[s\], energy \[J\], leakage \[W\])` totals.
-    pub totals: Vec<(f64, f64, f64)>,
-    /// `true` when the chunk was restored from a checkpoint (resumed seed
-    /// range) instead of being computed by this run.
-    pub restored: bool,
-}
-
-/// [`monte_carlo_from_universe_resumable`] with incremental delivery:
-/// `sink` receives every completed chunk ([`MC_CHECKPOINT_CHUNK`] samples,
-/// last one possibly short) as soon as it lands, in sample order. On a
-/// resumed run the restored prefix arrives first as a single chunk with
-/// [`McChunk::restored`] set, so a consumer always sees the full
-/// contiguous sample range exactly once. Chunk contents are bit-identical
-/// for any `GNR_THREADS` (the chunk boundaries are fixed and the merge is
-/// ordered).
-///
-/// # Errors
-///
-/// As [`monte_carlo_from_universe_resumable`].
-pub fn monte_carlo_from_universe_streaming(
-    ctx: &ExecCtx,
-    universe: &StageUniverse,
-    samples: usize,
-    seed: u64,
-    checkpoint_path: Option<&Path>,
-    sink: &mut dyn FnMut(&McChunk),
-) -> Result<McRunOutcome, ExploreError> {
-    let (totals, interrupted) = mc_totals_engine_with(
-        ctx,
-        universe,
-        samples,
-        seed,
-        checkpoint_path,
-        true,
-        Some(sink),
-    )?;
+        mc_totals_engine(ctx, universe, samples, seed, checkpoint_path, true, sink)?;
     let completed = totals.len();
     let result = result_from_totals(ctx, universe, &totals);
     Ok(McRunOutcome {
@@ -553,31 +432,11 @@ type McTotals = (Vec<(f64, f64, f64)>, Option<NumError>);
 
 /// The chunked composition engine shared by the plain and resumable entry
 /// points: pre-draws every sample serially, restores any checkpointed
-/// prefix, then composes the remaining samples chunk by chunk. Returns the
-/// per-sample `(period, energy, leakage)` totals for the completed prefix
-/// plus the budget stop that ended the run early, if any.
+/// prefix, then composes the remaining samples chunk by chunk, handing
+/// each chunk to `sink` when one is given. Returns the per-sample
+/// `(period, energy, leakage)` totals for the completed prefix plus the
+/// budget stop that ended the run early, if any.
 fn mc_totals_engine(
-    ctx: &ExecCtx,
-    universe: &StageUniverse,
-    samples: usize,
-    seed: u64,
-    checkpoint_path: Option<&Path>,
-    enforce_budget: bool,
-) -> Result<McTotals, ExploreError> {
-    mc_totals_engine_with(
-        ctx,
-        universe,
-        samples,
-        seed,
-        checkpoint_path,
-        enforce_budget,
-        None,
-    )
-}
-
-/// [`mc_totals_engine`] with an optional per-chunk sink (the streaming
-/// delivery path); `None` skips all chunk notifications.
-fn mc_totals_engine_with(
     ctx: &ExecCtx,
     universe: &StageUniverse,
     samples: usize,
@@ -839,7 +698,7 @@ mod tests {
         let universe = synthetic_universe();
         let ctx = ExecCtx::with_threads(2);
         let plain = monte_carlo_from_universe(&ctx, &universe, 700, 20080608);
-        let out = monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, None)
+        let out = monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, None, None)
             .expect("no checkpoint IO");
         assert!(out.is_complete());
         assert_eq!(plain.stalled_samples, out.result.stalled_samples);
@@ -866,7 +725,7 @@ mod tests {
         let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(1));
         let ctx = ExecCtx::serial().with_limits(limits);
         let partial =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("checkpoint writes");
         assert!(partial.interrupted.is_some(), "budget should have tripped");
         assert_eq!(partial.completed_samples, MC_CHECKPOINT_CHUNK);
@@ -885,7 +744,7 @@ mod tests {
         // Resume on a differently-sized pool: bit-identical final summary.
         let ctx = ExecCtx::with_threads(4);
         let resumed =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("resumes");
         assert!(resumed.is_complete());
         assert!(!path.exists(), "checkpoint removed on completion");
@@ -928,13 +787,14 @@ mod tests {
         let limits = gnr_num::budget::ExecLimits::none()
             .with_budget(gnr_num::budget::Budget::unlimited().with_check_cap(1));
         let bctx = ctx.with_limits(limits);
-        let partial = monte_carlo_from_universe_resumable(&bctx, &universe, 700, 1, Some(&path))
-            .expect("checkpoint writes");
+        let partial =
+            monte_carlo_from_universe_resumable(&bctx, &universe, 700, 1, Some(&path), None)
+                .expect("checkpoint writes");
         assert!(partial.interrupted.is_some());
         // ...then ask for seed 20080608: the stale file must be discarded
         // and the result must equal a from-scratch run.
         let resumed =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("restarts");
         assert!(resumed.is_complete());
         let fresh = monte_carlo_from_universe(&ctx, &universe, 700, 20080608);

@@ -1,7 +1,6 @@
 //! Shared plumbing for the table/figure regeneration binaries.
 
 use crate::devices::{DeviceLibrary, Fidelity};
-use crate::service::CharacterizationService;
 use gnr_num::par::ExecCtx;
 
 /// Default on-disk table cache used by the regeneration binaries.
@@ -25,20 +24,11 @@ pub fn standard_library(experiment: &str) -> DeviceLibrary {
     DeviceLibrary::with_disk_cache(fidelity, CACHE_DIR)
 }
 
-/// Builds the standard characterization service for a regeneration
-/// binary: [`standard_library`] (banner, env fidelity, disk table cache)
-/// wrapped in a [`CharacterizationService`] over the environment's
-/// thread pool, with telemetry armed when `GNR_TELEMETRY=1` so job
-/// responses carry cache and solver counters. Repeated invocations hit
-/// the on-disk content-addressed cache instead of re-solving NEGF.
-pub fn standard_service(experiment: &str) -> CharacterizationService {
-    gnr_num::telemetry::arm_from_env();
-    CharacterizationService::with_library(ExecCtx::from_env(), standard_library(experiment))
-}
-
-/// Prints the content-addressed table-cache counters from a job's
-/// telemetry snapshot, when telemetry is armed (`GNR_TELEMETRY=1`).
-pub fn cache_summary(telemetry: &gnr_num::telemetry::TelemetrySnapshot) {
+/// Prints the content-addressed table-cache counters recorded on `ctx`'s
+/// telemetry sink, when telemetry is armed (`GNR_TELEMETRY=1`, see
+/// [`gnr_num::telemetry::arm_from_env`]).
+pub fn cache_summary(ctx: &ExecCtx) {
+    let telemetry = ctx.telemetry().snapshot();
     let get = |name: &str| telemetry.counter(name).unwrap_or(0);
     let (hits, misses) = (get("table_cache.hits"), get("table_cache.misses"));
     if hits + misses > 0 {

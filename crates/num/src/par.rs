@@ -14,10 +14,9 @@
 //! to the serial loop regardless of thread count or OS scheduling. A pool of
 //! size 1 does not spawn at all — it runs the exact serial code path.
 //!
-//! [`ExecCtx`] bundles the pool with a [`RecoveryPolicy`] and a
-//! [`SharedFaultLog`] so the solver stack exposes a single entry-point
-//! signature (`f(&ctx, …)`) instead of ad-hoc `_with_recovery` / `_logged`
-//! variants.
+//! [`ExecCtx`] bundles the pool with a [`SharedFaultLog`], a telemetry
+//! sink and the execution limits so the solver stack exposes a single
+//! entry-point signature (`f(&ctx, …)`).
 //!
 //! Thread count resolution: `GNR_THREADS` overrides when set to a positive
 //! integer; otherwise [`ExecCtx::from_env`] uses the machine's available
@@ -219,23 +218,12 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
         .filter(|&t| t >= 1)
 }
 
-/// What the solver stack should do when a nominal attempt fails.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Nominal attempt only: the first failure propagates as an error.
-    /// Reproduces the pre-ladder plain solvers byte for byte.
-    Strict,
-    /// Full escalation ladders (PR 2) with degraded-result reporting.
-    #[default]
-    Ladder,
-}
-
-/// The unified execution context: thread pool + recovery policy + shared
-/// fault log + telemetry sink.
+/// The unified execution context: thread pool + shared fault log +
+/// telemetry sink + execution limits.
 ///
 /// Every redesigned entry point takes `&ExecCtx` as its first argument.
 /// Cloning is cheap and **shares** the fault log and telemetry sink (the
-/// pool and policy are copied), so a clone handed to a helper still
+/// pool is copied), so a clone handed to a helper still
 /// reports faults and metrics to the same sinks.
 ///
 /// The default telemetry sink is the process-global registry, disarmed
@@ -245,58 +233,36 @@ pub enum RecoveryPolicy {
 #[derive(Clone, Debug, Default)]
 pub struct ExecCtx {
     pool: ThreadPool,
-    recovery: RecoveryPolicy,
     faults: SharedFaultLog,
     telemetry: Telemetry,
     limits: ExecLimits,
 }
 
 impl ExecCtx {
-    /// Context with an explicit pool and policy, a fresh fault log, the
-    /// global telemetry sink, and no execution limits.
-    pub fn new(pool: ThreadPool, recovery: RecoveryPolicy) -> Self {
+    /// Context with an explicit pool, a fresh fault log, the global
+    /// telemetry sink, and no execution limits.
+    pub fn new(pool: ThreadPool) -> Self {
         ExecCtx {
             pool,
-            recovery,
             faults: SharedFaultLog::new(),
             telemetry: Telemetry::global(),
             limits: ExecLimits::none(),
         }
     }
 
-    /// Serial context with the default [`RecoveryPolicy::Ladder`]: the
-    /// target of the deprecated `_with_recovery`/`_logged` shims.
+    /// Serial context: the exact serial code path, no execution limits.
     pub fn serial() -> Self {
-        ExecCtx::new(ThreadPool::serial(), RecoveryPolicy::Ladder)
+        ExecCtx::new(ThreadPool::serial())
     }
 
-    /// Serial context with [`RecoveryPolicy::Strict`]: reproduces the old
-    /// plain (pre-recovery) solver calls.
-    pub fn strict() -> Self {
-        ExecCtx::new(ThreadPool::serial(), RecoveryPolicy::Strict)
-    }
-
-    /// Context sized from `GNR_THREADS` / available parallelism, with the
-    /// default ladder policy.
+    /// Context sized from `GNR_THREADS` / available parallelism.
     pub fn from_env() -> Self {
-        ExecCtx::new(ThreadPool::from_env(), RecoveryPolicy::default())
+        ExecCtx::new(ThreadPool::from_env())
     }
 
-    /// Context with an `n`-thread pool and the default ladder policy.
+    /// Context with an `n`-thread pool.
     pub fn with_threads(threads: usize) -> Self {
-        ExecCtx::new(ThreadPool::new(threads), RecoveryPolicy::default())
-    }
-
-    /// Same context with a different recovery policy (fault log, telemetry
-    /// sink, and limits shared).
-    pub fn with_recovery(&self, recovery: RecoveryPolicy) -> Self {
-        ExecCtx {
-            pool: self.pool,
-            recovery,
-            faults: self.faults.clone(),
-            telemetry: self.telemetry.clone(),
-            limits: self.limits.clone(),
-        }
+        ExecCtx::new(ThreadPool::new(threads))
     }
 
     /// Same context with a different telemetry sink (fault log and limits
@@ -304,7 +270,6 @@ impl ExecCtx {
     pub fn with_telemetry(&self, telemetry: Telemetry) -> Self {
         ExecCtx {
             pool: self.pool,
-            recovery: self.recovery,
             faults: self.faults.clone(),
             telemetry,
             limits: self.limits.clone(),
@@ -318,7 +283,6 @@ impl ExecCtx {
     pub fn with_limits(&self, limits: ExecLimits) -> Self {
         ExecCtx {
             pool: self.pool,
-            recovery: self.recovery,
             faults: self.faults.clone(),
             telemetry: self.telemetry.clone(),
             limits,
@@ -333,11 +297,6 @@ impl ExecCtx {
     /// Worker count of the pool.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The recovery policy.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// The shared fault log.
@@ -489,17 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn ctx_constructors_and_policy() {
-        let serial = ExecCtx::serial();
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(serial.recovery(), RecoveryPolicy::Ladder);
-        let strict = ExecCtx::strict();
-        assert_eq!(strict.threads(), 1);
-        assert_eq!(strict.recovery(), RecoveryPolicy::Strict);
-        let four = ExecCtx::with_threads(4);
-        assert_eq!(four.threads(), 4);
-        let relaxed = strict.with_recovery(RecoveryPolicy::Ladder);
-        assert_eq!(relaxed.recovery(), RecoveryPolicy::Ladder);
+    fn ctx_constructors() {
+        assert_eq!(ExecCtx::serial().threads(), 1);
+        assert_eq!(ExecCtx::with_threads(4).threads(), 4);
+        assert_eq!(ExecCtx::with_threads(0).threads(), 1);
     }
 
     #[test]
@@ -544,8 +496,8 @@ mod tests {
                 .with_cancel(token.clone())
                 .with_budget(Budget::unlimited().with_check_cap(100)),
         );
-        // A derived context (policy swap) observes the same cancel flag.
-        let derived = limited.with_recovery(RecoveryPolicy::Strict);
+        // A derived context (telemetry swap) observes the same cancel flag.
+        let derived = limited.with_telemetry(Telemetry::isolated());
         limited.check_budget("scf").expect("not yet cancelled");
         token.cancel();
         assert!(derived.check_budget("scf").is_err());

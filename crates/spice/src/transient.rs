@@ -15,7 +15,7 @@ use crate::dc::{dc_operating_point, is_budget_stop, DcOptions};
 use crate::error::SpiceError;
 use crate::mna::{MnaSink, MnaSystem, ResidualOnly};
 use gnr_num::budget::ExecLimits;
-use gnr_num::par::{ExecCtx, RecoveryPolicy};
+use gnr_num::par::ExecCtx;
 use gnr_num::recover::{AttemptReport, EscalationLadder, SolveReport};
 use gnr_num::telemetry;
 use std::collections::HashMap;
@@ -49,9 +49,7 @@ pub struct TransientOptions {
     pub skip_dc: bool,
     /// Time-integration method.
     pub integrator: Integrator,
-    /// Retry ladder used when the execution context's policy is
-    /// [`RecoveryPolicy::Ladder`]; ignored under
-    /// [`RecoveryPolicy::Strict`].
+    /// Retry ladder run when the nominal integration fails.
     pub recovery: TransientRecovery,
 }
 
@@ -112,12 +110,6 @@ impl TransientOptions {
     /// Selects the time-integration method.
     pub fn with_integrator(mut self, integrator: Integrator) -> Self {
         self.integrator = integrator;
-        self
-    }
-
-    /// Replaces the retry ladder used under [`RecoveryPolicy::Ladder`].
-    pub fn with_recovery(mut self, recovery: TransientRecovery) -> Self {
-        self.recovery = recovery;
         self
     }
 }
@@ -192,35 +184,32 @@ impl TransientResult {
     }
 }
 
-/// Runs a transient analysis under the execution context's recovery
-/// policy.
+/// Runs a transient analysis under the execution context's limits.
 ///
-/// With [`RecoveryPolicy::Strict`] exactly one integration runs and any
-/// failure propagates — byte-for-byte the historic plain `transient`. With
-/// [`RecoveryPolicy::Ladder`] the nominal run (identical when it succeeds)
-/// is followed on Newton divergence by the `opts.recovery` ladder: timestep
-/// halvings down to `dt_floor`, then — when `source_ramp` is set — one
-/// attempt seeded from a source-stepped DC solution. The report records
-/// each attempt and the winning policy.
+/// The nominal run (the plain integration) is followed on Newton
+/// divergence by the `opts.recovery` ladder: timestep halvings down to
+/// `dt_floor`, then — when `source_ramp` is set — one attempt seeded from
+/// a source-stepped DC solution. The report records each attempt and the
+/// winning policy; a fault-free run reports a single nominal attempt.
 ///
 /// # Errors
 ///
-/// Propagates netlist validation, DC, and per-step Newton failures; under
-/// `Ladder`, returns the first attempt's error when every rung fails.
+/// Returns a configuration error when `opts.recovery.max_dt_halvings`
+/// exceeds [`MAX_DT_HALVINGS`], budget stops, and the first attempt's
+/// error (netlist validation, DC, per-step Newton) when every rung fails.
 pub fn transient(
     ctx: &ExecCtx,
     circuit: &Circuit,
     opts: &TransientOptions,
 ) -> Result<(TransientResult, SolveReport), SpiceError> {
     telemetry::counter_inc("transient.solves");
-    match ctx.recovery() {
-        RecoveryPolicy::Strict => {
-            let result = transient_nominal(circuit, opts, ctx.limits())?;
-            let steps = result.len();
-            Ok((result, SolveReport::single("nominal", steps, f64::NAN)))
-        }
-        RecoveryPolicy::Ladder => transient_laddered(circuit, opts, ctx.limits()),
+    if opts.recovery.max_dt_halvings > MAX_DT_HALVINGS {
+        return Err(SpiceError::config(format!(
+            "transient recovery: max_dt_halvings {} exceeds {MAX_DT_HALVINGS}",
+            opts.recovery.max_dt_halvings
+        )));
     }
+    transient_laddered(circuit, opts, ctx.limits())
 }
 
 /// The plain single-attempt integration engine behind [`transient`] — also
@@ -349,11 +338,16 @@ pub(crate) fn transient_nominal(
     Ok(result)
 }
 
-/// Retry policy for the [`RecoveryPolicy::Ladder`] path of [`transient`].
+/// Largest accepted [`TransientRecovery::max_dt_halvings`]: the deepest
+/// rung runs at `dt / 2^31`, the last power of two a `u32` shift can form.
+pub const MAX_DT_HALVINGS: usize = 31;
+
+/// Retry ladder of [`transient`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct TransientRecovery {
     /// Maximum number of timestep halvings tried after the nominal run
-    /// fails with [`SpiceError::NewtonDiverged`].
+    /// fails with [`SpiceError::NewtonDiverged`]; at most
+    /// [`MAX_DT_HALVINGS`].
     pub max_dt_halvings: usize,
     /// Smallest timestep the halving ladder may use \[s\]; rungs below it
     /// are skipped.
@@ -373,7 +367,7 @@ impl Default for TransientRecovery {
     }
 }
 
-/// The escalation-ladder integration behind [`RecoveryPolicy::Ladder`].
+/// The escalation-ladder integration behind [`transient`].
 fn transient_laddered(
     circuit: &Circuit,
     opts: &TransientOptions,
@@ -633,10 +627,6 @@ mod tests {
     use super::*;
     use crate::circuit::Waveform;
 
-    fn strict() -> ExecCtx {
-        ExecCtx::strict()
-    }
-
     /// RC low-pass step response: v(t) = V (1 - e^{-t/RC}).
     #[test]
     fn rc_step_response() {
@@ -670,7 +660,7 @@ mod tests {
         });
         let tau = r * cap; // 1 ns
         let opts = TransientOptions::new(5.0 * tau, tau / 200.0);
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         let times = result.times();
         // Compare against the analytic charging curve at a few points.
@@ -705,7 +695,7 @@ mod tests {
         let mut opts = TransientOptions::new(1e-9, 1e-11);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 0.7)];
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         assert!((v[0] - 0.7).abs() < 1e-12);
         // Discharge through 1 TOhm over 1 ns is negligible.
@@ -755,7 +745,7 @@ mod tests {
             let mut opts = TransientOptions::new(t_ramp, dt);
             opts.integrator = integrator;
             opts.skip_dc = true;
-            let (r, _) = transient(&strict(), &c, &opts).expect("simulates");
+            let (r, _) = transient(&ExecCtx::serial(), &c, &opts).expect("simulates");
             let v = r.voltage(&c, out);
             let times = r.times();
             v.iter()
@@ -811,8 +801,8 @@ mod tests {
         });
         let opts_be = TransientOptions::new(2e-9, 2e-12);
         let opts_tr = TransientOptions::new(2e-9, 2e-12).trapezoidal();
-        let (r_be, _) = transient(&strict(), &c, &opts_be).expect("be");
-        let (r_tr, _) = transient(&strict(), &c, &opts_tr).expect("tr");
+        let (r_be, _) = transient(&ExecCtx::serial(), &c, &opts_be).expect("be");
+        let (r_tr, _) = transient(&ExecCtx::serial(), &c, &opts_tr).expect("tr");
         let v_be = r_be.voltage(&c, out);
         let v_tr = r_tr.voltage(&c, out);
         for (a, b) in v_be.iter().zip(&v_tr) {
@@ -821,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_nominal_run_matches_plain_transient() {
+    fn fault_free_run_reports_single_nominal_attempt() {
         let mut c = Circuit::new();
         let vin = c.node("in");
         let out = c.node("out");
@@ -841,13 +831,35 @@ mod tests {
             farads: 1e-12,
         });
         let opts = TransientOptions::new(2e-9, 2e-11);
-        let (plain, strict_report) = transient(&strict(), &c, &opts).unwrap();
-        assert!(strict_report.nominal());
-        let (laddered, report) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
+        let (result, report) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         assert!(report.nominal());
         assert_eq!(report.policy_used.as_deref(), Some("nominal"));
-        assert_eq!(plain.times(), laddered.times());
-        assert_eq!(plain.final_solution(), laddered.final_solution());
+        assert_eq!(report.attempts.len(), 1, "no rescue rung runs");
+        assert_eq!(report.attempts[0].iterations, result.len());
+    }
+
+    #[test]
+    fn oversized_halving_count_is_a_config_error() {
+        let mut c = Circuit::new();
+        let out = c.node("out");
+        c.add(Element::Resistor {
+            a: out,
+            b: NodeId::GROUND,
+            ohms: 1e3,
+        });
+        let mut opts = TransientOptions::new(1e-10, 1e-11);
+        for halvings in [MAX_DT_HALVINGS + 1, 64, usize::MAX] {
+            opts.recovery.max_dt_halvings = halvings;
+            let err = transient(&ExecCtx::serial(), &c, &opts).unwrap_err();
+            assert!(
+                matches!(&err, SpiceError::Config { detail } if detail.contains("max_dt_halvings")),
+                "got {err:?}"
+            );
+        }
+        // The deepest accepted ladder still runs (fault-free: nominal only).
+        opts.recovery.max_dt_halvings = MAX_DT_HALVINGS;
+        let (_, report) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
+        assert!(report.nominal());
     }
 
     #[test]
@@ -864,9 +876,8 @@ mod tests {
             n: NodeId::GROUND,
             wave: Waveform::Dc(1.0),
         });
-        assert!(transient(&strict(), &c, &TransientOptions::new(0.0, 1e-12)).is_err());
-        assert!(transient(&strict(), &c, &TransientOptions::new(1e-9, 0.0)).is_err());
-        // The ladder cannot rescue a configuration error either.
+        // The ladder cannot rescue a configuration error.
+        assert!(transient(&ExecCtx::serial(), &c, &TransientOptions::new(0.0, 1e-12)).is_err());
         assert!(transient(&ExecCtx::serial(), &c, &TransientOptions::new(1e-9, 0.0)).is_err());
     }
 
@@ -890,7 +901,9 @@ mod tests {
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 1.0)];
         let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(2));
-        let ctx = ExecCtx::strict().with_limits(limits);
+        // The ladder must not burn dt-halving rungs on an exhausted budget:
+        // the nominal run's typed stop surfaces, no rescue.
+        let ctx = ExecCtx::serial().with_limits(limits);
         let err = transient(&ctx, &c, &opts).unwrap_err();
         match err {
             SpiceError::Linear(NumError::BudgetExhausted { site }) => {
@@ -898,15 +911,6 @@ mod tests {
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
-        // The ladder must not burn dt-halving rungs on an exhausted budget
-        // either: same typed error, no rescue.
-        let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(2));
-        let ctx = ExecCtx::serial().with_limits(limits);
-        let err = transient(&ctx, &c, &opts).unwrap_err();
-        assert!(
-            matches!(err, SpiceError::Linear(NumError::BudgetExhausted { .. })),
-            "got {err:?}"
-        );
     }
 
     #[test]
@@ -926,7 +930,7 @@ mod tests {
         });
         let mut opts = TransientOptions::new(1e-10, 1e-11);
         opts.skip_dc = true;
-        let err = transient(&strict(), &c, &opts).unwrap_err();
+        let err = transient(&ExecCtx::serial(), &c, &opts).unwrap_err();
         assert!(
             matches!(err, SpiceError::Linear(NumError::NonFinite { .. })),
             "got {err:?}"
@@ -953,7 +957,7 @@ mod tests {
         let mut opts = TransientOptions::new(3.0 * tau, tau / 100.0);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 1.0)];
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         let times = result.times();
         let idx = times.iter().position(|&t| t >= tau).unwrap();

@@ -8,16 +8,18 @@
 //!
 //! Run with: `cargo run --release --example design_space`
 
-use gnrlab::explore::devices::Fidelity;
-use gnrlab::explore::service::{CharacterizationService, JobRequest};
+use gnrlab::explore::contours::design_space_map;
+use gnrlab::explore::devices::{DeviceLibrary, Fidelity};
 use gnrlab::num::par::ExecCtx;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The service's in-memory content-addressed table store deduplicates
+    gnrlab::num::telemetry::arm_from_env();
+    let ctx = ExecCtx::from_env();
+    // The library's in-memory content-addressed table store deduplicates
     // device builds across the whole grid even with no disk cache: every
     // (geometry, bias grid, solver options) table is solved once and
     // every later request is a byte-identical cache hit.
-    let mut service = CharacterizationService::new(ExecCtx::from_env(), Fidelity::Fast);
+    let mut lib = DeviceLibrary::new(Fidelity::Fast);
     let vdd_axis: Vec<f64> = (0..6).map(|i| 0.2 + i as f64 * 0.08).collect();
     let vt_axis: Vec<f64> = (0..5).map(|i| 0.03 + i as f64 * 0.05).collect();
     println!(
@@ -25,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vdd_axis.len(),
         vt_axis.len()
     );
-    let response = service.submit(JobRequest::edp_contour(vdd_axis, vt_axis, 15))?;
-    let map = response.contour().expect("contour jobs return a map");
+    let map = design_space_map(&ctx, &mut lib, &vdd_axis, &vt_axis, 15)?;
 
     println!(
         "\n{}",
@@ -58,13 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    if let Some(hits) = response.telemetry.counter("table_cache.hits") {
+    let telemetry = ctx.telemetry().snapshot();
+    if let Some(hits) = telemetry.counter("table_cache.hits") {
         println!(
             "\ntable cache: {hits} intra-run hits, {} misses (GNR_TELEMETRY=1)",
-            response
-                .telemetry
-                .counter("table_cache.misses")
-                .unwrap_or(0)
+            telemetry.counter("table_cache.misses").unwrap_or(0)
         );
     }
     println!("\nthe paper's conclusion: unlike CMOS, raising V_T does not buy noise");

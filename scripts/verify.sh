@@ -66,23 +66,23 @@ GNR_THREADS=4 cargo test -q --offline \
   --test physics_conformance --test transport_invariants --test surface_cache \
   --test sparse_mna --test mode_space
 
-# Budgeted-execution acceptance gate (DESIGN.md §13): cancel / checkpoint /
-# resume bit-identity with the §4 pins intact, partial results on budget
-# exhaustion, corrupt-checkpoint discard. Named on both pool sizes because
-# resume determinism across thread counts is the whole contract.
+# Budgeted-execution acceptance gate (DESIGN.md §13/§14): cancel /
+# checkpoint / resume bit-identity with the §4 pins intact, partial
+# results on budget exhaustion, corrupt-checkpoint discard, and streamed
+# Monte Carlo chunks (cancel from the sink, restored prefix first, fixed
+# chunk boundaries). Named on both pool sizes because resume determinism
+# across thread counts is the whole contract.
 echo "== tier-1: budget/checkpoint acceptance suite (GNR_THREADS=1 and 4) =="
 GNR_THREADS=1 cargo test -q --offline --test budget_checkpoint
 GNR_THREADS=4 cargo test -q --offline --test budget_checkpoint
 
-# Characterization-service acceptance gate (DESIGN.md §14): the
-# content-addressed table store (byte-identical warm hits, keyed-field
-# misses, corrupt-entry eviction with pinned counters) and the job API
-# (streaming chunk boundaries, cancel/resume by seed range with the §4
-# pins intact, FIFO queue drain). Named on both pool sizes because both
+# Table-store acceptance gate (DESIGN.md §14): the content-addressed
+# table store (byte-identical warm hits, keyed-field misses, corrupt-entry
+# eviction with pinned counters). Named on both pool sizes because both
 # the cached bytes and the counters must be thread-count invariant.
-echo "== tier-1: table-cache / service acceptance suites (GNR_THREADS=1 and 4) =="
-GNR_THREADS=1 cargo test -q --offline --test table_cache --test service_jobs
-GNR_THREADS=4 cargo test -q --offline --test table_cache --test service_jobs
+echo "== tier-1: table-cache acceptance suite (GNR_THREADS=1 and 4) =="
+GNR_THREADS=1 cargo test -q --offline --test table_cache
+GNR_THREADS=4 cargo test -q --offline --test table_cache
 
 # Netlist front-end acceptance gate (DESIGN.md §16): the deck-conformance
 # suite (committed golden decks reproduce the programmatic builders
@@ -90,8 +90,8 @@ GNR_THREADS=4 cargo test -q --offline --test table_cache --test service_jobs
 # robustness suite (seeded round-trips, malformed-deck corpus with typed
 # errors, scale-suffix goldens), and the circuit zoo (adder truth table,
 # SRAM butterfly SNM golden, NAND-tree and clock-chain orderings, the
-# deck job through the service API). Named on both pool sizes because the
-# bit-identity pins must be thread-count invariant.
+# SRAM deck's DC operating point as a rawfile). Named on both pool sizes
+# because the bit-identity pins must be thread-count invariant.
 echo "== tier-1: netlist conformance / parser / circuit zoo (GNR_THREADS=1 and 4) =="
 GNR_THREADS=1 cargo test -q --offline \
   --test netlist_conformance --test netlist_parser --test circuit_zoo

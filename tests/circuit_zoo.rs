@@ -2,11 +2,8 @@
 //! real workloads — a 4-bit ripple-carry adder swept over its full truth
 //! table, a 6T SRAM cell's butterfly SNM pinned to a golden value,
 //! wide-fan-in NAND output-level ordering, fanout-tapered clock-chain
-//! delays, and one deck routed through the characterization service's
-//! job API.
+//! delays, and one deck's DC operating point written as a rawfile.
 
-use gnrlab::explore::devices::Fidelity;
-use gnrlab::explore::service::{CharacterizationService, JobRequest};
 use gnrlab::num::budget::ExecLimits;
 use gnrlab::num::par::ExecCtx;
 use gnrlab::spice::dc::set_source_value;
@@ -168,15 +165,20 @@ fn clock_chain_delay_monotone_in_fanout() {
     );
 }
 
-/// A zoo deck runs through the characterization service's job API and
-/// returns a well-formed rawfile with solid SRAM hold levels.
+/// A zoo deck runs parse → elaborate → DC operating point → rawfile (the
+/// `gnr-spice dc` path) and yields a well-formed rawfile with in-range,
+/// symmetric SRAM storage-node levels.
 #[test]
-fn sram_deck_through_service_job_api() {
-    let mut service = CharacterizationService::new(ExecCtx::serial(), Fidelity::Fast);
-    let response = service
-        .submit(JobRequest::deck_op(include_str!("../decks/zoo/sram6t.sp")))
-        .expect("deck job");
-    let raw = response.deck_raw().expect("deck rawfile payload");
+fn sram_deck_dc_operating_point_rawfile() {
+    let elab = elaborate(include_str!("../decks/zoo/sram6t.sp"));
+    let x = dc_operating_point(
+        &elab.circuit,
+        None,
+        DcOptions::default(),
+        &ExecLimits::none(),
+    )
+    .expect("deck DC operating point");
+    let raw = gnrlab::spice::rawfile::dc_rawfile(&elab, &x);
     let vars = raw
         .get("variables")
         .and_then(|v| v.as_array())

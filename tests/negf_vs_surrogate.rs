@@ -44,8 +44,8 @@ fn gate_modulation_direction_agrees() {
     let sur_on = surrogate.drain_current(0.55, vd).unwrap();
     assert!(sur_on > sur_off, "surrogate gate control");
     for (grid, scf) in scf_solvers(&cfg) {
-        let negf_off = scf.solve(&ExecCtx::strict(), vd / 2.0, vd).unwrap().0;
-        let negf_on = scf.solve(&ExecCtx::strict(), 0.55, vd).unwrap().0;
+        let negf_off = scf.solve(&ExecCtx::serial(), vd / 2.0, vd).unwrap().0;
+        let negf_on = scf.solve(&ExecCtx::serial(), 0.55, vd).unwrap().0;
         assert!(
             negf_on.current_a > negf_off.current_a,
             "negf gate control broke on the {grid} grid"
@@ -60,7 +60,7 @@ fn on_current_magnitudes_within_order() {
     let (vg, vd) = (0.55, 0.3);
     let sur = surrogate.drain_current(vg, vd).unwrap();
     for (grid, scf) in scf_solvers(&cfg) {
-        let negf = scf.solve(&ExecCtx::strict(), vg, vd).unwrap().0.current_a;
+        let negf = scf.solve(&ExecCtx::serial(), vg, vd).unwrap().0.current_a;
         let ratio = sur / negf;
         assert!(
             (0.1..10.0).contains(&ratio),
@@ -85,7 +85,7 @@ fn barrier_profiles_agree_qualitatively() {
         "surrogate barriers: edge {edge_sur:.3} vs mid {mid_sur:.3}"
     );
     for (grid, scf) in scf_solvers(&cfg) {
-        let negf = scf.solve(&ExecCtx::strict(), vg, vd).unwrap().0;
+        let negf = scf.solve(&ExecCtx::serial(), vg, vd).unwrap().0;
         let negf_profile = &negf.layer_potential_ev;
         let mid_negf = negf_profile[negf_profile.len() / 2];
         let edge_negf = negf_profile[0].max(*negf_profile.last().unwrap());
@@ -159,7 +159,7 @@ fn charge_sign_agrees_in_accumulation() {
     let sur = surrogate.channel_charge(0.6, 0.1).unwrap();
     assert!(sur < 0.0, "surrogate charge {sur:.3e}");
     for (grid, scf) in scf_solvers(&cfg) {
-        let negf = scf.solve(&ExecCtx::strict(), 0.6, 0.1).unwrap().0;
+        let negf = scf.solve(&ExecCtx::serial(), 0.6, 0.1).unwrap().0;
         assert!(
             negf.charge_c < 0.0,
             "negf charge on the {grid} grid: {:.3e}",
